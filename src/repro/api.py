@@ -227,17 +227,23 @@ def validate_k(k) -> int:
 
 
 def validate_query(query: np.ndarray, dim: int) -> np.ndarray:
-    """Normalise a query to a finite 1-D float64 vector of the right width."""
+    """Normalise a query to a finite 1-D float64 vector of the right width.
+
+    Its squared norm must be finite too (see :func:`_check_norms`).
+    """
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != dim:
         raise ValueError(f"query has dimension {query.shape[0]}, index expects {dim}")
     if not np.all(np.isfinite(query)):
         raise ValueError("query contains non-finite values")
+    _check_norms(query[None, :], "query")
     return query
 
 
 def validate_queries(queries: np.ndarray, dim: int) -> np.ndarray:
     """Normalise a batch to a finite ``(n_q, dim)`` float64 array.
+
+    Every row's squared norm must be finite too (see :func:`_check_norms`).
 
     A single ``(dim,)`` query is promoted to a one-row batch.  An empty
     batch is valid and normalises to ``(0, dim)`` — every ``search_many``
@@ -257,4 +263,23 @@ def validate_queries(queries: np.ndarray, dim: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(queries)):
         raise ValueError("queries contain non-finite values")
+    _check_norms(queries, "query {}")
     return queries
+
+
+def _check_norms(queries: np.ndarray, name: str) -> None:
+    """Reject rows whose squared norm overflows float64.
+
+    Finite but huge components (e.g. ``1e308``) square to ``inf``; every
+    method's geometry (norms, projected distances, the ProMIPS conditions)
+    would then turn into NaN deep inside a search.  ``name`` names the
+    offending row in the message (``{}`` becomes its index).
+    """
+    with np.errstate(over="ignore"):
+        norms_sq = np.einsum("ij,ij->i", queries, queries)
+    bad = np.flatnonzero(~np.isfinite(norms_sq))
+    if bad.size:
+        raise ValueError(
+            f"{name.format(int(bad[0]))} has a squared norm that overflows float64; "
+            "scale it down"
+        )

@@ -24,10 +24,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.api import BatchResult, validate_k
+
+if TYPE_CHECKING:
+    from repro.index.ring_idistance import RangeResult
 
 __all__ = [
     "GEMM_PANEL",
@@ -232,8 +236,7 @@ class CandidateVerifier:
     def verify(
         self,
         topk: TopK,
-        ids: np.ndarray,
-        dists: np.ndarray,
+        candidates: RangeResult,
         query: np.ndarray,
         orig_reader,
         c: float,
@@ -242,6 +245,7 @@ class CandidateVerifier:
     ) -> tuple[str | None, int]:
         """Verify candidates in ascending projected-distance order.
 
+        Only the chunks of ``candidates`` consumed are ordered and fetched.
         Returns ``(fired_condition, points_verified)`` where
         ``fired_condition`` is ``"condition_a"``, ``"condition_b"`` or None.
         Condition A reduces to ``ip_k ≥ c·(‖oM‖² + ‖q‖²)/2`` and Condition B
@@ -252,20 +256,42 @@ class CandidateVerifier:
         cond_a_threshold = 0.5 * c * base
         verified = 0
         chunk = self._chunk
-        for start in range(0, ids.size, chunk):
-            chunk_ids = ids[start : start + chunk]
-            vecs = orig_reader.get_many(chunk_ids)
-            ips = vecs @ query
-            for pid, dist, ip in zip(
-                chunk_ids.tolist(), dists[start : start + chunk].tolist(), ips.tolist()
-            ):
-                verified += 1
-                topk.offer(ip, pid)
+        for start in range(0, len(candidates), chunk):
+            chunk_ids, chunk_dists = candidates.take(start, start + chunk)
+            ips = orig_reader.get_many(chunk_ids) @ query
+            # Non-decreasing, as the distances are: Condition B first holds
+            # where a binary search for its threshold lands.
+            d2 = chunk_dists * chunk_dists
+            # Only offers that can change the heap run one by one: all of
+            # them while it fills, then those above the k-th best (TopK.offer
+            # replaces on a strict >).  Between two such offers the k-th best
+            # is constant, so each run in between is checked at once:
+            # Condition A holds on its first candidate or on none, and
+            # Condition B from one position on.  A run's ids need no
+            # seen-marking: a repeat carries the same inner product, which
+            # cannot beat a k-th best that only rises.
+            kth = topk.kth_ip
+            size = chunk_ids.size
+            movers = (ips > kth).nonzero()[0].tolist() if topk.full else range(size)
+            pos = 0
+            for stop in (*movers, size):
+                if stop > pos:
+                    if kth >= cond_a_threshold:
+                        return "condition_a", verified + pos + 1
+                    threshold = quantile * (base - 2.0 * kth / c)
+                    hit = pos + int(np.searchsorted(d2[pos:stop], threshold))
+                    if hit < stop:
+                        return "condition_b", verified + hit + 1
+                if stop == size:
+                    break
+                topk.offer(float(ips[stop]), int(chunk_ids[stop]))
+                pos = stop + 1
                 if not topk.full:
                     continue
                 kth = topk.kth_ip
                 if kth >= cond_a_threshold:
-                    return "condition_a", verified
-                if dist * dist >= quantile * (base - 2.0 * kth / c):
-                    return "condition_b", verified
+                    return "condition_a", verified + pos
+                if d2[stop] >= quantile * (base - 2.0 * kth / c):
+                    return "condition_b", verified + pos
+            verified += size
         return None, verified

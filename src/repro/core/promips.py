@@ -93,10 +93,6 @@ class ProMIPSParams:
             raise ValueError("kp, n_key and ksp must all be positive")
 
 
-# Backwards-compatible alias: the running top-k moved to the shared engine.
-_TopK = TopK
-
-
 @register_method("promips", aliases=("ProMIPS",))
 class ProMIPS:
     """Probability-guaranteed c-AMIP index with a lightweight iDistance.
@@ -321,11 +317,11 @@ class ProMIPS:
 
         # --- first range search at the Quick-Probe radius.  min_radius is
         # strict, so the -1 sentinel keeps distance-0 (coincident) points in.
-        ids, dists = self.ring.range_search(
+        candidates = self.ring.range_search(
             q_proj, radius, tree_counter, proj_reader, min_radius=-1.0
         )
         fired, verified = self._verifier.verify(
-            topk, ids, dists, query, orig_reader, c, p, q_norm_sq
+            topk, candidates, query, orig_reader, c, p, q_norm_sq
         )
         total_verified += verified
 
@@ -351,11 +347,11 @@ class ProMIPS:
                 if next_radius <= current_radius:
                     next_radius = 2.0 * current_radius
             expansions += 1
-            ids, dists = self.ring.range_search(
+            candidates = self.ring.range_search(
                 q_proj, next_radius, tree_counter, proj_reader, min_radius=current_radius
             )
             fired, verified = self._verifier.verify(
-                topk, ids, dists, query, orig_reader, c, p, q_norm_sq
+                topk, candidates, query, orig_reader, c, p, q_norm_sq
             )
             total_verified += verified
             current_radius = next_radius

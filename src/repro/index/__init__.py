@@ -2,12 +2,13 @@
 
 from repro.index.bptree import BPlusTree, LeafCursor
 from repro.index.idistance import IDistanceIndex
-from repro.index.ring_idistance import RingIDistance, SubPartition
+from repro.index.ring_idistance import RangeResult, RingIDistance, SubPartition
 
 __all__ = [
     "BPlusTree",
     "LeafCursor",
     "IDistanceIndex",
     "RingIDistance",
+    "RangeResult",
     "SubPartition",
 ]

@@ -6,7 +6,8 @@ tables LSH methods need.  This implementation supports:
 
 * bulk loading from key-sorted items (how every index here is constructed);
 * point lookup of a key;
-* inclusive range scans over ``[lo, hi]``;
+* inclusive range scans over ``[lo, hi]``, either as a leaf walk or as one
+  binary search over the bulk-loaded key array (same entries, same charges);
 * bidirectional leaf cursors (needed by incremental iDistance kNN search);
 * page accounting — every node visited counts as one page read against an
   :class:`repro.storage.AccessCounter`.
@@ -18,6 +19,8 @@ order within the key.
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from repro.storage.pagefile import AccessCounter
 
@@ -135,6 +138,7 @@ class BPlusTree:
         self.n_nodes = n_nodes
         self.order = order
         self._first_leaf = first_leaf
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def bulk_load(cls, items: Iterable[tuple[Any, Any]], order: int = DEFAULT_ORDER) -> "BPlusTree":
@@ -239,6 +243,32 @@ class BPlusTree:
                 return
             yield key, leaf.values[index]
             index += 1
+
+    def range_values(self, lo, hi, counter: AccessCounter | None = None) -> np.ndarray:
+        """Values with ``lo <= key <= hi`` in key order, as one array.
+
+        Returns the entries :meth:`range` yields and charges the same node
+        visits, but locates them by binary search over the key array instead
+        of walking the leaves.  The charge follows from the bulk-loaded
+        layout (leaf ``j`` holds entries ``j·order`` onwards): the left-biased
+        descent reads ``height − 1`` internal nodes and lands on the last leaf
+        whose first key is below ``lo`` (or the first leaf); the walk then
+        reads every leaf up to the one holding the first key above ``hi``
+        (or the last leaf).
+        """
+        if self._flat is None:
+            pairs = list(self.items())
+            self._flat = (np.array([k for k, _ in pairs]), np.array([v for _, v in pairs]))
+        keys, values = self._flat
+        if hi < lo:
+            return values[:0]
+        start = int(np.searchsorted(keys, lo, side="left"))
+        stop = int(np.searchsorted(keys, hi, side="right"))
+        if counter is not None:
+            first_leaf = max(int(np.searchsorted(keys[:: self.order], lo, side="left")) - 1, 0)
+            last_leaf = max(min(stop, keys.size - 1), 0) // self.order
+            counter.add(self.height - 1 + last_leaf - first_leaf + 1)
+        return values[start:stop]
 
     def cursor_at(self, key, counter: AccessCounter | None = None) -> LeafCursor:
         """Cursor positioned at the first entry with ``entry.key >= key``.

@@ -17,6 +17,7 @@ The B+-tree maps each ring key to the descriptors of its sub-partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.cluster.kmeans import kmeans
 from repro.index.bptree import BPlusTree
 from repro.storage.pagefile import AccessCounter, VectorReader
 
-__all__ = ["SubPartition", "RingIDistance"]
+__all__ = ["SubPartition", "RangeResult", "RingIDistance"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,67 @@ class SubPartition:
     pivot: np.ndarray
     radius: float
     member_ids: np.ndarray
+
+
+class RangeResult:
+    """Points found by one range search, handed out in ascending distance.
+
+    A stable sort of every in-range point costs milliseconds per query, yet
+    the verifier usually stops within the nearest few thousand.  The order
+    is therefore built on demand, one distance band at a time: the bands end
+    at the distances of the 256th, 512th, 1024th, ... nearest point, and
+    :meth:`take` orders the next band only when a caller reads past the
+    ordered prefix.  A band includes every tie of its end distance and is
+    ordered by ``(distance, position)``, so every prefix equals the same
+    prefix of a stable argsort over all points.
+
+    Unpacking (``ids, dists = result``) yields both arrays fully sorted.
+    """
+
+    __slots__ = ("_ids", "_dists", "_cuts", "_sorted_ids", "_sorted_dists")
+
+    # Points in the first band; each later band doubles the ordered prefix.
+    MIN_PREFIX = 256
+
+    def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
+        self._ids = ids
+        self._dists = dists
+        self._cuts: list[float] | None = None  # band bounds, ascending
+        self._sorted_ids = ids[:0]  # the ordered prefix
+        self._sorted_dists = dists[:0]
+
+    def __len__(self) -> int:
+        return self._ids.size
+
+    def __iter__(self):
+        return iter(self.take(0, len(self)))
+
+    def take(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and distances of sorted positions ``start..stop`` (exclusive)."""
+        while self._sorted_ids.size < min(stop, len(self)):
+            self._extend()
+        return self._sorted_ids[start:stop], self._sorted_dists[start:stop]
+
+    def _extend(self) -> None:
+        """Order the next distance band ``(cuts[0], cuts[1]]``."""
+        dists = self._dists
+        if self._cuts is None:
+            ascending = np.sort(dists)
+            self._cuts, size = [-math.inf], self.MIN_PREFIX
+            while size < dists.size:
+                self._cuts.append(float(ascending[size - 1]))
+                size *= 2
+            self._cuts.append(math.inf)
+        lo, hi = self._cuts[0], self._cuts[1]
+        del self._cuts[0]
+        band = np.flatnonzero((dists > lo) & (dists <= hi))
+        band_dists = dists[band]
+        order = np.argsort(band_dists)
+        ordered = band_dists[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(band_dists, kind="stable")  # ties keep position order
+        self._sorted_ids = np.concatenate((self._sorted_ids, self._ids[band[order]]))
+        self._sorted_dists = np.concatenate((self._sorted_dists, band_dists[order]))
 
 
 class RingIDistance:
@@ -139,6 +201,9 @@ class RingIDistance:
         """Vectorized views of the descriptors (hot path of range search)."""
         self._sp_pivots = np.stack([sp.pivot for sp in self.subpartitions])
         self._sp_radii = np.array([sp.radius for sp in self.subpartitions])
+        self._sp_sizes = np.array([sp.member_ids.size for sp in self.subpartitions])
+        self._sp_starts = np.cumsum(self._sp_sizes) - self._sp_sizes
+        self._sp_members = np.concatenate([sp.member_ids for sp in self.subpartitions])
 
     # -------------------------------------------------------- persistence
 
@@ -236,10 +301,11 @@ class RingIDistance:
         query: np.ndarray,
         radius: float,
         tree_counter: AccessCounter | None,
-    ) -> list[SubPartition]:
-        """Sub-partitions whose bounding sphere intersects the query sphere."""
+    ) -> np.ndarray:
+        """Indices of the sub-partitions whose bounding sphere intersects the
+        query sphere, in key order."""
         center_dists = np.linalg.norm(self.centers - query[None, :], axis=1)
-        touched: list[int] = []
+        touched: list[np.ndarray] = []
         for i in range(self.kp):
             if self.max_ring[i] < 0:
                 continue
@@ -252,16 +318,12 @@ class RingIDistance:
             hi_ring = min(hi_ring, int(self.max_ring[i]))
             lo_key = i * self.C + lo_ring
             hi_key = i * self.C + hi_ring
-            for _, sp_idx in self._tree.range(lo_key, hi_key, counter=tree_counter):
-                touched.append(sp_idx)
-        if not touched:
-            return []
+            touched.append(self._tree.range_values(lo_key, hi_key, counter=tree_counter))
+        sel = np.concatenate(touched) if touched else np.empty(0, dtype=np.int64)
         # One vectorized sphere-intersection test over all touched
         # descriptors replaces per-descriptor norm computations.
-        sel = np.asarray(touched, dtype=np.int64)
         pivot_dists = np.linalg.norm(self._sp_pivots[sel] - query[None, :], axis=1)
-        keep = pivot_dists <= radius + self._sp_radii[sel]
-        return [self.subpartitions[i] for i in sel[keep].tolist()]
+        return sel[pivot_dists <= radius + self._sp_radii[sel]]
 
     def range_search(
         self,
@@ -270,38 +332,34 @@ class RingIDistance:
         tree_counter: AccessCounter | None = None,
         reader: VectorReader | None = None,
         min_radius: float = 0.0,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ids/distances of points with ``min_radius < dis(P(o), P(q)) <= radius``.
+    ) -> RangeResult:
+        """Points with ``min_radius < dis(P(o), P(q)) <= radius``.
 
         ``min_radius > 0`` turns the search into an annulus scan, used by the
         compensation pass of MIP-Search-II so already-verified points are not
-        reported twice.  Results are sorted by ascending distance, matching
-        the order Algorithm 3 consumes them in.
+        reported twice.  The result hands points out by ascending distance,
+        the order Algorithm 3 consumes them in, sorting lazily (see
+        :class:`RangeResult`).
         """
         query = np.asarray(query, dtype=np.float64)
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         chosen = self._candidate_subpartitions(query, radius, tree_counter)
-        if not chosen:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
         # Fetch every chosen sub-partition in one batched read: pages are
         # charged identically (the reader dedups) and the distance test
-        # vectorizes across the whole candidate set.
-        ids = (
-            chosen[0].member_ids
-            if len(chosen) == 1
-            else np.concatenate([sp.member_ids for sp in chosen])
-        )
-        vecs = reader.get_many(ids) if reader is not None else self._points[ids]
-        dists = np.linalg.norm(vecs - query[None, :], axis=1)
+        # vectorizes across the whole candidate set.  Member j of chosen
+        # sub-partition i sits at flat position offsets[i] + j.
+        sizes = self._sp_sizes[chosen]
+        offsets = np.cumsum(sizes) - sizes
+        ids = self._sp_members[
+            np.repeat(self._sp_starts[chosen] - offsets, sizes) + np.arange(int(sizes.sum()))
+        ]
+        diff = reader.get_many(ids) if reader is not None else self._points[ids]
+        diff -= query
+        # np.linalg.norm(diff, axis=1) without its copy for conj().
+        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
         mask = (dists <= radius) & (dists > min_radius)
-        ids = ids[mask]
-        dists = dists[mask]
-        order = np.argsort(dists, kind="stable")
-        return ids[order], dists[order]
+        return RangeResult(ids[mask], dists[mask])
 
     def knn_iterate(
         self,

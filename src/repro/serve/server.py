@@ -47,6 +47,7 @@ in-flight target).
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,6 +62,8 @@ from repro.serve.cache import ResultCache
 from repro.serve.microbatch import MicroBatcher
 from repro.serve.telemetry import DEFAULT_WINDOW, Telemetry
 from repro.spec import build_index
+
+log = logging.getLogger(__name__)
 
 __all__ = ["ServingRuntime", "build_runtime", "make_server"]
 
@@ -361,6 +364,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc.args[0] if exc.args else exc), endpoint)
         except (ValueError, TypeError) as exc:
             self._error(400, str(exc), endpoint)
+        except Exception as exc:  # a server fault still gets a counted answer
+            log.exception("unhandled error answering POST %s", self.path)
+            self._error(500, f"internal error: {type(exc).__name__}: {exc}", endpoint)
 
     @staticmethod
     def _field(body: dict, name: str):

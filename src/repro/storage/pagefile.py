@@ -14,6 +14,21 @@ fetches (Fig. 9).  This module provides the substrate all indexes share:
 * :class:`AccessCounter` — a plain page counter used by index structures
   (B+-tree node visits) where every visit is a page read.
 
+How pages are charged:
+
+* **Cold per query.**  Every query opens fresh readers, so nothing carries
+  over between queries — the conservative reading of the paper's numbers.
+* **Distinct pages.**  Within one reader a page counts once, however often
+  it is read again.
+* **One mask per reader.**  A reader keeps one boolean mask over the file's
+  pages, allocated on its first read.  Every read — ``get``, ``get_many``,
+  ``touch_pages`` and ``scan_all`` — marks the pages it touches in that
+  mask with array operations; no read loops over points in Python.
+* **Straddling vectors count every page they span.**  Vectors are packed
+  back to back, so one whose stride does not divide the page size (or is
+  wider than a page) occupies bytes on two or more pages, and reading it
+  charges all of them.
+
 Vectors are accounted as float32 (4 bytes/component), matching how the paper
 sizes its datasets (e.g. 17770×300×4B ≈ 84.2MB for Netflix).
 """
@@ -102,6 +117,9 @@ class VectorStore:
         offsets = self._slot_of_point * self.stride_bytes
         self._first_page = offsets // self.page_size
         self._last_page = (offsets + self.stride_bytes - 1) // self.page_size
+        # Pages past its first that the widest vector spans: 0 when no vector
+        # straddles a page boundary, above 1 when some cover whole pages.
+        self._max_span = int((self._last_page - self._first_page).max(initial=0))
 
     @property
     def size_bytes(self) -> int:
@@ -121,15 +139,9 @@ class VectorStore:
         """Page ids occupied by a point (a point wider than a page spans several)."""
         return range(int(self._first_page[point_id]), int(self._last_page[point_id]) + 1)
 
-    def reader(self, buffer=None) -> "VectorReader":
-        """A fresh per-query reader with an empty page cache.
-
-        Args:
-            buffer: optional shared :class:`repro.storage.buffer.BufferPool`
-                for warm-cache experiments; pages already resident there are
-                not charged as disk reads.
-        """
-        return VectorReader(self, buffer=buffer)
+    def reader(self) -> "VectorReader":
+        """A fresh per-query reader with no pages charged yet."""
+        return VectorReader(self)
 
     def __repr__(self) -> str:
         return (
@@ -147,62 +159,55 @@ class VectorReader:
     the paper's page-access numbers imply).
     """
 
-    def __init__(self, store: VectorStore, buffer=None) -> None:
+    __slots__ = ("_store", "_read")
+
+    def __init__(self, store: VectorStore) -> None:
         self._store = store
-        self._touched: set[int] = set()
-        self._buffer = buffer
-        self._disk_reads = 0
+        self._read: np.ndarray | None = None  # page mask, allocated on first read
 
     @property
     def pages_touched(self) -> int:
         """Number of distinct pages read so far."""
-        return len(self._touched)
+        return 0 if self._read is None else int(np.count_nonzero(self._read))
 
-    @property
-    def disk_reads(self) -> int:
-        """Pages that actually went to disk.
+    def _mark(self, pages) -> None:
+        """Mark pages as read: the one place the page mask changes."""
+        if self._read is None:
+            self._read = np.zeros(self._store.total_pages, dtype=bool)
+        self._read[pages] = True
 
-        Equals :attr:`pages_touched` for cold queries; with a shared buffer
-        pool, pages already resident in the pool are excluded.
-        """
-        return self._disk_reads
-
-    def _charge(self, page_ids) -> None:
-        buffer = self._buffer
-        label = self._store.label
-        for page in page_ids:
-            if page in self._touched:
-                continue
-            self._touched.add(page)
-            if buffer is None or not buffer.access(label, page):
-                self._disk_reads += 1
+    def _charge(self, point_ids: np.ndarray) -> None:
+        """Mark every page the given points occupy."""
+        store = self._store
+        firsts = store._first_page[point_ids]
+        self._mark(firsts)
+        if store._max_span:
+            lasts = store._last_page[point_ids]
+            self._mark(lasts)
+            if store._max_span > 1:
+                # Vectors wider than a page also cover the pages between
+                # their ends; inner page j of point i sits at flat position
+                # offsets[i] + j.
+                inner = np.maximum(lasts - firsts - 1, 0)
+                offsets = np.cumsum(inner) - inner
+                self._mark(np.repeat(firsts + 1 - offsets, inner) + np.arange(int(inner.sum())))
 
     def get(self, point_id: int) -> np.ndarray:
         """Fetch one vector, charging its pages on first touch."""
-        store = self._store
-        self._charge(
-            range(int(store._first_page[point_id]), int(store._last_page[point_id]) + 1)
-        )
-        return store._vectors[point_id]
+        self._charge(np.array([point_id], dtype=np.int64))
+        return self._store._vectors[point_id]
 
     def get_many(self, point_ids: np.ndarray) -> np.ndarray:
         """Fetch a batch of vectors, charging all their pages on first touch."""
         point_ids = np.asarray(point_ids, dtype=np.int64)
-        if point_ids.size:
-            firsts = self._store._first_page[point_ids]
-            lasts = self._store._last_page[point_ids]
-            if np.array_equal(firsts, lasts):
-                self._charge(firsts.tolist())
-            else:
-                for first, last in zip(firsts.tolist(), lasts.tolist()):
-                    self._charge(range(first, last + 1))
-        return self._store._vectors[point_ids]
+        self._charge(point_ids)
+        return np.take(self._store._vectors, point_ids, axis=0)
 
     def scan_all(self) -> np.ndarray:
         """Full sequential scan: touches every page, returns the raw array."""
-        self._charge(range(self._store.total_pages))
+        self._mark(slice(None))
         return self._store._vectors
 
     def touch_pages(self, page_ids: range | list[int]) -> None:
         """Charge raw pages (used for auxiliary on-disk structures)."""
-        self._charge(page_ids)
+        self._mark(np.asarray(page_ids, dtype=np.int64).reshape(-1))

@@ -55,6 +55,13 @@ class TestValidateQuery:
     def test_flattens_row_vectors(self):
         assert validate_query(np.ones((1, 3)), 3).shape == (3,)
 
+    def test_rejects_overflowing_squared_norm(self):
+        with pytest.raises(ValueError, match="squared norm that overflows"):
+            validate_query([1e308, 0.0], 2)
+        with pytest.raises(ValueError, match="query 1 has a squared norm"):
+            validate_queries([[1.0, 0.0], [0.0, 1e200]], 2)
+        assert validate_query([1e150, 1e150], 2).shape == (2,)
+
 
 class TestEmptyBatch:
     def test_from_results_empty_list(self):

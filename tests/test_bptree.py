@@ -170,3 +170,25 @@ class TestLargeTreeInvariants:
         for lo, hi in [(0, 100), (2500, 2600), (4999, 5001), (-5, -1)]:
             expected = [(k, v) for k, v in pairs if lo <= k <= hi]
             assert list(tree.range(lo, hi)) == expected
+
+
+class TestRangeValues:
+    """The binary-search range returns what the leaf walk yields and charges
+    the same node visits, duplicates and boundary keys included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.integers(-20, 20), max_size=300),
+        order=st.integers(2, 9),
+        lo=st.integers(-25, 25),
+        span=st.integers(-3, 30),
+    )
+    def test_matches_leaf_walk(self, keys, order, lo, span):
+        keys = sorted(keys)
+        tree = BPlusTree.bulk_load([(k, i) for i, k in enumerate(keys)], order=order)
+        hi = lo + span
+        walk, fast = AccessCounter(), AccessCounter()
+        expected = [v for _, v in tree.range(lo, hi, counter=walk)]
+        got = tree.range_values(lo, hi, counter=fast)
+        assert got.tolist() == expected
+        assert fast.pages == walk.pages

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import (
     GEMM_PANEL,
+    CandidateVerifier,
     TopK,
     batch_inner_products,
     batch_topk,
     project_batch,
     topk_ids_scores,
 )
+from repro.index.ring_idistance import RangeResult
+from repro.stats.chi2 import ChiSquare
+from repro.storage.pagefile import VectorStore
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +121,80 @@ class TestTopKHeap:
         ids, ips = topk.result()
         assert ids.tolist() == [1, 2]
         assert ips.tolist() == [3.0, 2.0]
+
+
+def _verify_one_by_one(topk, ids, dists, query, reader, chi2, max_norm_sq, c, p, q_norm_sq):
+    """Reference: offer and test every candidate in turn (32-row fetches)."""
+    quantile = chi2.ppf(p)
+    base = max_norm_sq + q_norm_sq
+    verified = 0
+    for start in range(0, ids.size, 32):
+        chunk_ids = ids[start : start + 32]
+        ips = reader.get_many(chunk_ids) @ query
+        for pid, dist, ip in zip(
+            chunk_ids.tolist(), dists[start : start + 32].tolist(), ips.tolist()
+        ):
+            verified += 1
+            topk.offer(ip, pid)
+            if not topk.full:
+                continue
+            if topk.kth_ip >= 0.5 * c * base:
+                return "condition_a", verified
+            if dist * dist >= quantile * (base - 2.0 * topk.kth_ip / c):
+                return "condition_b", verified
+    return None, verified
+
+
+class TestCandidateVerifier:
+    """Run-at-once verification stops where per-candidate verification does,
+    with the same heap and the same pages charged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 200),
+        k=st.integers(1, 12),
+        c=st.sampled_from([0.3, 0.6, 0.9]),
+        p=st.sampled_from([0.1, 0.5, 0.9]),
+        rounds=st.integers(1, 3),
+    )
+    def test_matches_per_candidate_reference(self, seed, n, k, c, p, rounds):
+        gen = np.random.default_rng(seed)
+        # Small integer coordinates: many tied inner products and distances.
+        data = gen.integers(-2, 3, size=(n, 4)).astype(np.float64)
+        query = gen.integers(-2, 3, size=4).astype(np.float64)
+        store = VectorStore(data, page_size=40, layout_order=gen.permutation(n))
+        chi2 = ChiSquare(3)
+        max_norm_sq = float((data * data).sum(axis=1).max())
+        q_norm_sq = float(query @ query)
+        verifier = CandidateVerifier(chi2, max_norm_sq)
+        fast_topk, ref_topk = TopK(k), TopK(k)
+        # Sometimes start from a heap filled elsewhere, which may already
+        # satisfy Condition A.
+        for i in range(gen.integers(0, k + 1)):
+            ip = float(gen.integers(-4, 40))
+            fast_topk.offer(ip, n + i)
+            ref_topk.offer(ip, n + i)
+        fast_reader, ref_reader = store.reader(), store.reader()
+        dists = np.sqrt(gen.integers(0, 40, size=n).astype(np.float64))
+        for _ in range(rounds):
+            # Rounds may repeat ids, within and across them: a repeat is
+            # counted as verified but never enters the heap twice.
+            ids = gen.integers(0, n, size=gen.integers(0, 2 * n))
+            got = verifier.verify(
+                fast_topk, RangeResult(ids, dists[ids]), query, fast_reader,
+                c, p, q_norm_sq,
+            )
+            order = np.argsort(dists[ids], kind="stable")
+            want = _verify_one_by_one(
+                ref_topk, ids[order], dists[ids][order], query, ref_reader,
+                chi2, max_norm_sq, c, p, q_norm_sq,
+            )
+            assert got == want
+            assert fast_reader.pages_touched == ref_reader.pages_touched
+            got_ids, got_ips = fast_topk.result()
+            ref_ids, ref_ips = ref_topk.result()
+            assert np.array_equal(got_ids, ref_ids)
+            assert np.array_equal(got_ips, ref_ips)
+            if got[0] is not None:
+                break

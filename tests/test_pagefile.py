@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.pagefile import (
     BYTES_PER_COMPONENT,
@@ -163,3 +165,53 @@ class TestVectorReader:
 
     def test_reader_type(self):
         assert isinstance(_store().reader(), VectorReader)
+
+
+class TestReaderModel:
+    """``pages_touched`` against a reference set of pages, under random read
+    sequences over layouts whose strides straddle pages or exceed them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        dim=st.integers(1, 24),
+        page_size=st.integers(8, 200),
+        data=st.data(),
+    )
+    def test_matches_reference_set(self, n, dim, page_size, data):
+        layout = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        store = VectorStore(np.zeros((n, dim)), page_size=page_size, layout_order=layout)
+        stride = dim * BYTES_PER_COMPONENT
+        slot = np.argsort(layout)
+
+        def pages_of(point):
+            start = int(slot[point]) * stride
+            return set(range(start // page_size, (start + stride - 1) // page_size + 1))
+
+        ids = st.integers(0, n - 1)
+        pages = st.integers(0, store.total_pages - 1)
+        ops = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("get"), ids),
+            st.tuples(st.just("get_many"), st.lists(ids, max_size=12)),
+            st.tuples(st.just("touch_pages"), st.lists(pages, max_size=6)),
+            st.tuples(st.just("scan_all"), st.none()),
+        ), max_size=8))
+
+        reader = store.reader()
+        expected: set[int] = set()
+        for op, arg in ops:
+            if op == "get":
+                reader.get(arg)
+                expected |= pages_of(arg)
+            elif op == "get_many":
+                out = reader.get_many(np.array(arg, dtype=np.int64))
+                assert out.shape == (len(arg), dim)
+                for point in arg:
+                    expected |= pages_of(point)
+            elif op == "touch_pages":
+                reader.touch_pages(arg)
+                expected |= set(arg)
+            else:
+                reader.scan_all()
+                expected |= set(range(store.total_pages))
+            assert reader.pages_touched == len(expected)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.index.ring_idistance import RingIDistance
+from repro.index.ring_idistance import RangeResult, RingIDistance
 from repro.storage.pagefile import AccessCounter, VectorStore
 
 
@@ -140,3 +142,38 @@ def zip_take(iterator, n):
         if len(out) >= n:
             break
     return out
+
+
+class TestRangeResult:
+    """The lazily sorted result reads exactly like a stable argsort."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(0, 1500),
+        distinct=st.integers(1, 40),
+        steps=st.lists(st.integers(1, 600), min_size=1, max_size=8),
+    )
+    def test_prefixes_match_stable_argsort(self, seed, size, distinct, steps):
+        # Few distinct values: ties straddle every partition cut.
+        gen = np.random.default_rng(seed)
+        dists = gen.integers(0, distinct, size=size) / 4.0
+        ids = gen.permutation(size)
+        order = np.argsort(dists, kind="stable")
+        result = RangeResult(ids, dists)
+        assert len(result) == dists.size
+        start = 0
+        for step in steps:
+            got_ids, got_dists = result.take(start, start + step)
+            assert np.array_equal(got_ids, ids[order][start : start + step])
+            assert np.array_equal(got_dists, dists[order][start : start + step])
+            start += step
+        all_ids, all_dists = result
+        assert np.array_equal(all_ids, ids[order])
+        assert np.array_equal(all_dists, dists[order])
+
+    def test_sorts_only_what_is_read(self):
+        dists = np.random.default_rng(3).random(10_000)
+        result = RangeResult(np.arange(dists.size), dists)
+        result.take(0, 32)
+        assert result._sorted_ids.size < 1_000

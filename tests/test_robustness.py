@@ -17,6 +17,9 @@ from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS
 from repro.baselines.rangelsh import RangeLSH
 from repro.core.promips import ProMIPS, ProMIPSParams
+from repro.spec import build_index
+
+from test_k_clamp import EDGE_SPECS
 
 SMALL_PARAMS = ProMIPSParams(m=4, kp=2, n_key=6, ksp=2)
 
@@ -138,3 +141,28 @@ class TestAdversarialQueries:
         for name, index in indexes.items():
             with pytest.raises(ValueError):
                 index.search(bad, k=1)
+
+
+class TestOverflowingQueryNorm:
+    """A finite query whose squared norm overflows is rejected up front,
+    with the same message from every method and both entry points."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        gen = np.random.default_rng(8)
+        data = gen.standard_normal((24, 16))
+        return {name: build_index(spec, data, rng=5) for name, spec in EDGE_SPECS.items()}
+
+    @pytest.mark.parametrize("method", sorted(EDGE_SPECS))
+    def test_rejected_uniformly(self, built, method):
+        huge = np.full(16, 1e308)
+        with pytest.raises(ValueError, match="squared norm that overflows"):
+            built[method].search(huge, k=3)
+        batch = np.stack([np.ones(16), huge])
+        with pytest.raises(ValueError, match="query 1 has a squared norm"):
+            built[method].search_many(batch, k=3)
+
+    @pytest.mark.parametrize("method", sorted(EDGE_SPECS))
+    def test_large_but_representable_norm_still_served(self, built, method):
+        result = built[method].search(np.full(16, 1e100), k=3)
+        assert len(result) == 3

@@ -11,6 +11,7 @@ float64 score crosses the wire without loss.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -437,6 +438,42 @@ class TestHTTPErrors:
         client.post("/search", {"k": 3})
         code, stats = client.get("/stats")
         assert stats["errors_by_endpoint"]["search"] >= 1
+
+    def test_overflowing_query_norm_400(self, client):
+        # Finite components whose squared norm overflows used to surface as
+        # "cannot convert float NaN to integer" from deep inside a search.
+        code, payload = client.post("/search", {"query": [1e308] * DIM, "k": 1})
+        assert code == 400 and "squared norm" in payload["error"]
+
+
+class _FailingRuntime(ServingRuntime):
+    def search(self, query, k: int = 1, **kwargs) -> dict:
+        if query == "boom":
+            raise RuntimeError("index exploded")
+        return super().search(query, k=k, **kwargs)
+
+
+class TestServerFaults:
+    def test_unexpected_exception_is_a_counted_500(self, serve):
+        index, _, queries = _build("exact")
+        client = serve(_FailingRuntime(index))
+        conn = http.client.HTTPConnection("127.0.0.1", int(client.base.rsplit(":", 1)[1]))
+        headers = {"Content-Type": "application/json"}
+        try:
+            conn.request("POST", "/search", json.dumps({"query": "boom"}), headers)
+            resp = conn.getresponse()
+            assert resp.status == 500
+            assert "RuntimeError: index exploded" in json.loads(resp.read())["error"]
+            # The same keep-alive connection still answers the next request.
+            body = json.dumps({"query": queries[0].tolist(), "k": 3})
+            conn.request("POST", "/search", body, headers)
+            resp = conn.getresponse()
+            assert resp.status == 200 and len(json.loads(resp.read())["ids"]) == 3
+            conn.request("GET", "/stats")
+            stats = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+        assert stats["errors_by_endpoint"] == {"search": 1}
 
 
 class TestIntegralFloatK:
