@@ -3,7 +3,7 @@
 A recommendation back-end rarely answers one user at a time — a refresh job
 scores thousands of user vectors against the item catalogue at once.  This
 example builds ProMIPS and the exact scan, answers a 512-user cohort through
-the native batch paths, verifies the batch answers are bit-identical to the
+their vectorized batch paths, verifies the batch answers are bit-identical to the
 looped single-query path, and times both.
 
 Run:  python examples/batch_queries.py

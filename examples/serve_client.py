@@ -4,7 +4,8 @@ By default this example is fully self-contained: it builds a small dynamic
 ProMIPS index, boots the serving runtime (coalescer + cache + telemetry)
 on a free local port, and then talks to it exactly the way any HTTP client
 would — ``/healthz``, a cold and a warm ``/search``, a ``/search_batch``,
-an ``/insert`` that invalidates the cache, a ``/delete``, and ``/stats``.
+an ``/insert`` that invalidates the cache, a ``/delete``, a 404 and a
+``/search`` on one keep-alive connection, and ``/stats``.
 
 Point it at an already-running ``repro serve`` process instead with::
 
@@ -20,10 +21,12 @@ Run:  python examples/serve_client.py
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -158,6 +161,27 @@ def main() -> int:
     code, error = call(base, "/search", {"query": query, "k": 0})
     expect(code == 400 and "k must be a positive integer" in error["error"],
            "invalid k rejected with HTTP 400")
+
+    # --- one keep-alive connection survives a 404 ---------------------------
+    # `call` opens a connection per request; http.client keeps one open, so
+    # a request body the server left unread would corrupt the next request.
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    body = json.dumps({"query": query, "k": 5})
+    headers = {"Content-Type": "application/json"}
+    try:
+        conn.request("POST", "/nope", body, headers)
+        resp = conn.getresponse()
+        resp.read()
+        unknown = resp.status
+        conn.request("POST", "/search", body, headers)
+        resp = conn.getresponse()
+        found, payload = resp.status, resp.read()
+    finally:
+        conn.close()
+    expect(unknown == 404 and found == 200 and len(json.loads(payload)["ids"]) == 5,
+           "keep-alive: a POST to an unknown path gets 404, the next "
+           "/search on the same connection 200")
 
     # --- telemetry -----------------------------------------------------------
     code, stats = call(base, "/stats")

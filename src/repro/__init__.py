@@ -23,8 +23,8 @@ Public API:
 * ``repro.eval`` — metrics and the experiment harness regenerating the paper's
   tables and figures.
 
-Every index answers single queries (``search``) and query batches
-(``search_many``); batch answers are bit-identical to looping ``search``.
+Every index implements query batches (``search_many``) and inherits
+single-query ``search`` as a one-row batch, so both paths agree bit for bit.
 
 Quickstart:
 
@@ -43,7 +43,7 @@ Quickstart:
 """
 
 from repro.api import BatchResult, MIPSIndex, SearchResult, SearchStats
-from repro.core.batch import BatchStats, search_batch, search_many
+from repro.core.batch import BatchStats, search_batch
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.maintenance import MaintenanceEngine
 from repro.core.persist import inspect_index, load_index, save_index
@@ -83,7 +83,6 @@ __all__ = [
     "ProMIPSParams",
     "BatchStats",
     "search_batch",
-    "search_many",
     "DynamicProMIPS",
     "MaintenanceEngine",
     "ShardedIndex",

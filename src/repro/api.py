@@ -4,14 +4,13 @@ Every MIPS method in this repository — ProMIPS and the baselines — returns
 the same :class:`SearchResult` so the evaluation harness and the examples can
 treat them interchangeably.
 
-Batch execution is first-class: the :class:`MIPSIndex` protocol includes
-``search_many(queries, k)`` returning a :class:`BatchResult`, and
-:class:`BatchSearchMixin` supplies a generic fallback (loop over ``search``)
-so every index answers batches even before it grows a natively vectorized
-path.  Native implementations (ProMIPS, Exact, PQ, SimHash) route both the
-single and the batch path through ``repro.core.engine``, which makes
-``search_many(Q, k)`` bit-identical to looping ``search(q, k)``.  An empty
-``(0, d)`` batch is valid everywhere and returns a ``(0, 0)``-shaped
+Batch execution is the one search primitive: a method implements only
+``search_many(queries, k)``, returning a :class:`BatchResult`, and inherits
+``search(query, k)`` from :class:`SearchMixin`, which answers a single query
+as a one-row batch.  ProMIPS, Exact, PQ and SimHash vectorize the batch
+through ``repro.core.engine``, whose fixed-shape GEMM panels make a query's
+row independent of its batch; H2-ALSH and Range-LSH loop over the rows.  An
+empty ``(0, d)`` batch is valid everywhere and returns a ``(0, 0)``-shaped
 :class:`BatchResult`.
 
 Beyond search, every method implements the **registry contract** of
@@ -42,7 +41,7 @@ __all__ = [
     "SearchResult",
     "BatchResult",
     "MIPSIndex",
-    "BatchSearchMixin",
+    "SearchMixin",
     "validate_k",
     "validate_query",
     "validate_queries",
@@ -136,7 +135,7 @@ class BatchResult:
 
     @classmethod
     def from_results(cls, results: list[SearchResult]) -> "BatchResult":
-        """Assemble a batch from per-query results (the fallback adapter).
+        """Assemble a batch from per-query results, padding short rows.
 
         An empty result list assembles to the empty batch, mirroring how
         ``search_many`` treats an empty query batch.
@@ -182,20 +181,18 @@ class MIPSIndex(Protocol):
         ...
 
 
-class BatchSearchMixin:
-    """Generic ``search_many`` fallback: loop ``search`` over the batch.
+class SearchMixin:
+    """The shared single-query ``search``: a one-row ``search_many``.
 
-    Gives every index a batch path for free; methods with a natively
-    vectorized batch implementation override :meth:`search_many` instead.
-    ``repro.core.batch.search_batch`` detects this fallback and can fan it
-    out over a thread pool.
+    Every registered method inherits this and implements only
+    :meth:`search_many`, so a single query and a batch row run the same
+    code and agree bit for bit.
     """
 
-    def search_many(self, queries: np.ndarray, k: int = 1, **kwargs) -> BatchResult:
-        queries = validate_queries(queries, self.dim)
-        return BatchResult.from_results(
-            [self.search(q, k=k, **kwargs) for q in queries]
-        )
+    def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
+        """Return the (approximate) top-k MIP points for one ``(d,)`` query."""
+        query = validate_query(query, self.dim)
+        return self.search_many(query[None, :], k=k, **kwargs)[0]
 
 
 def validate_k(k) -> int:

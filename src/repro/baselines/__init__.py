@@ -7,12 +7,12 @@
 * :class:`SimHashMIPS` — Simple-LSH + SimHash codes with exact re-ranking
   (off-paper; the lightest-index comparison point).
 
-Exact, PQ and SimHash implement natively vectorized ``search_many`` batch
-paths; the rest inherit the generic fallback from the API layer.
+Each method implements ``search_many`` and inherits the single-query
+``search`` from :class:`repro.api.SearchMixin`.  Exact, PQ and SimHash
+vectorize the batch; H2-ALSH and Range-LSH loop over its rows, because each
+query stops at its own shell or bucket.
 """
 
-from repro.baselines.alsh import L2ALSH, SignALSH, simple_lsh
-from repro.baselines.e2lsh import E2LSH
 from repro.baselines.exact import ExactMIPS, exact_topk
 from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS, ProductQuantizer, train_opq_rotation
@@ -38,10 +38,6 @@ from repro.baselines.transforms import (
 )
 
 __all__ = [
-    "L2ALSH",
-    "SignALSH",
-    "simple_lsh",
-    "E2LSH",
     "ExactMIPS",
     "exact_topk",
     "H2ALSH",

@@ -5,10 +5,10 @@ and the trivially correct reference each approximate method is validated
 against in the tests.  Page accounting reflects a full sequential scan of the
 data file.
 
-``search_many`` is natively vectorized: one ``data @ Qᵀ`` GEMM scores the
-whole batch and top-k is taken per row via argpartition.  The single-query
-``search`` routes through the same engine kernels, so batch answers are
-bit-identical to looping ``search`` (see :mod:`repro.core.engine`).
+``search_many`` is vectorized: one ``data @ Qᵀ`` GEMM scores the whole
+batch and top-k is taken per row via argpartition.  The engine's fixed GEMM
+panels make each row independent of the batch it is in, so the inherited
+one-row ``search`` agrees bit for bit (see :mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.api import (
     BatchResult,
-    SearchResult,
+    SearchMixin,
     SearchStats,
     validate_k,
-    validate_query,
     validate_queries,
 )
 from repro.core.engine import batch_inner_products, batch_topk, topk_ids_scores
@@ -36,7 +35,7 @@ def exact_topk(data: np.ndarray, query: np.ndarray, k: int) -> tuple[np.ndarray,
 
 
 @register_method("exact", aliases=("Exact", "ExactMIPS"))
-class ExactMIPS:
+class ExactMIPS(SearchMixin):
     """Brute-force MIP index with paged accounting.
 
     Args:
@@ -78,17 +77,6 @@ class ExactMIPS:
     def index_size_bytes(self) -> int:
         """An exact scan keeps no auxiliary structures."""
         return 0
-
-    def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """Exact top-k MIP by scanning every page of the data file."""
-        k = validate_k(k)
-        query = validate_query(query, self.dim)
-        reader = self._store.reader()
-        data = reader.scan_all()
-        ips = batch_inner_products(data, query[None, :])[:, 0]
-        ids, scores = topk_ids_scores(ips, k)
-        stats = SearchStats(pages=reader.pages_touched, candidates=self.n)
-        return SearchResult(ids=ids, scores=scores, stats=stats)
 
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
         """Exact top-k for a whole batch with one GEMM over the data file.

@@ -24,11 +24,12 @@ import heapq
 import numpy as np
 
 from repro.api import (
-    BatchSearchMixin,
+    BatchResult,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_k,
-    validate_query,
+    validate_queries,
 )
 from repro.baselines.qalsh import QALSH, derive_qalsh_params
 from repro.baselines.transforms import (
@@ -55,7 +56,7 @@ class _Shell:
 
 
 @register_method("h2alsh", aliases=("H2-ALSH", "H2ALSH"))
-class H2ALSH(BatchSearchMixin):
+class H2ALSH(SearchMixin):
     """Homocentric-hypersphere ALSH with QNF transform and QALSH shells.
 
     Args:
@@ -199,11 +200,18 @@ class H2ALSH(BatchSearchMixin):
         """All shells' hash tables — the "large number of hash tables" cost."""
         return sum(shell.qalsh.index_size_bytes() for shell in self.shells)
 
-    def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """c-k-AMIP search over the shells with early termination."""
+    def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
+        """c-k-AMIP search over the shells with early termination.
+
+        Queries run one at a time: each walk stops at its own shell.
+        """
         k = validate_k(k)
-        query = validate_query(query, self.dim)
+        queries = validate_queries(queries, self.dim)
         k = min(k, self.n)
+        return BatchResult.from_results([self._search_one(q, k) for q in queries])
+
+    def _search_one(self, query: np.ndarray, k: int) -> SearchResult:
+        """The shell walk for one validated query and clamped ``k``."""
         q_norm = float(np.linalg.norm(query))
 
         heap: list[tuple[float, int]] = []  # (ip, global_id) min-heap

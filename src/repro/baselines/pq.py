@@ -28,10 +28,10 @@ import numpy as np
 
 from repro.api import (
     BatchResult,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_k,
-    validate_query,
     validate_queries,
 )
 from repro.cluster.kmeans import assign_to_centers, kmeans
@@ -166,7 +166,7 @@ class _Cell:
 
 
 @register_method("pq", aliases=("PQ-Based", "PQBased", "PQBasedMIPS"))
-class PQBasedMIPS:
+class PQBasedMIPS(SearchMixin):
     """The paper's PQ-based baseline: QNF reduction + LOPQ-style IVF search.
 
     Args:
@@ -415,14 +415,8 @@ class PQBasedMIPS:
             total += cell.codes.size * 2 + cell.member_ids.size * 4
         return total
 
-    def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """ADC search over the probed cells, then exact re-ranking."""
-        k = validate_k(k)
-        query = validate_query(query, self.dim)
-        return self.search_many(query[None, :], k=k)[0]
-
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """ADC search for a whole batch (bit-identical to looping ``search``).
+        """ADC search over the probed cells, then exact re-ranking, for a batch.
 
         Batch-wide work runs vectorized: the coarse scan is one norm-expanded
         GEMM over all queries, and every probed cell computes its ADC

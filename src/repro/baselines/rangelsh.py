@@ -28,11 +28,12 @@ import heapq
 import numpy as np
 
 from repro.api import (
-    BatchSearchMixin,
+    BatchResult,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_k,
-    validate_query,
+    validate_queries,
 )
 from repro.baselines.simhash import SimHash, hamming_distance
 from repro.baselines.transforms import (
@@ -49,7 +50,7 @@ _CODE_BYTES = 2  # 16-bit codes in the paper's configuration
 
 
 @register_method("rangelsh", aliases=("Range-LSH", "RangeLSH", "NormRangingLSH"))
-class RangeLSH(BatchSearchMixin):
+class RangeLSH(SearchMixin):
     """Norm-ranging LSH with shared SimHash codes and bound-ordered probing.
 
     Args:
@@ -160,11 +161,18 @@ class RangeLSH(BatchSearchMixin):
         codes = self.n * _CODE_BYTES
         return codes + self.simhash.size_bytes() + self._subset_max_norm.nbytes
 
-    def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """c-k-AMIP search by probing (subset, Hamming-level) buckets."""
+    def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
+        """c-k-AMIP search by probing (subset, Hamming-level) buckets.
+
+        Queries run one at a time: each probes its own bucket order.
+        """
         k = validate_k(k)
-        query = validate_query(query, self.dim)
+        queries = validate_queries(queries, self.dim)
         k = min(k, self.n)
+        return BatchResult.from_results([self._search_one(q, k) for q in queries])
+
+    def _search_one(self, query: np.ndarray, k: int) -> SearchResult:
+        """Bound-ordered bucket probing for one validated query and clamped ``k``."""
         q_norm = float(np.linalg.norm(query))
         q_code = int(self.simhash.encode(simple_lsh_transform_query(query)))
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.api import (
     BatchResult,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_k,
@@ -115,7 +116,7 @@ class SimHash:
 
 
 @register_method("simhash", aliases=("SimHash", "SimHashMIPS"))
-class SimHashMIPS:
+class SimHashMIPS(SearchMixin):
     """SimHash MIPS baseline: Simple-LSH codes, Hamming short-list, exact re-rank.
 
     The Simple-LSH transform appends ``√(1 − ‖x/U‖²)`` so that the angle
@@ -129,8 +130,7 @@ class SimHashMIPS:
     ``search_many`` is natively vectorized: one shape-stable GEMM signs all
     queries at once and the Hamming matrix is computed by blocked
     XOR/popcount.  Since Hamming distances are exact integers and re-ranking
-    uses the same per-query multiply as ``search``, batch answers are
-    bit-identical to the looped path.
+    is a per-query multiply, a query's row does not depend on its batch.
 
     Args:
         data: ``(n, d)`` dataset.
@@ -227,12 +227,9 @@ class SimHashMIPS:
         ).T  # (n_q, n_bits)
         return pack_code(projections >= 0.0)
 
-    def search(self, query: np.ndarray, k: int = 1) -> SearchResult:
-        """Hamming-ranked c-k-AMIP search with exact re-ranking."""
-        return self.search_many(np.asarray(query, dtype=np.float64).reshape(1, -1), k=k)[0]
-
     def search_many(self, queries: np.ndarray, k: int = 1) -> BatchResult:
-        """Batch search: one encode GEMM + blocked Hamming matrix scan."""
+        """Hamming-ranked c-k-AMIP search with exact re-ranking, for a batch:
+        one encode GEMM + blocked Hamming matrix scan."""
         k = validate_k(k)
         queries = validate_queries(queries, self.dim)
         if queries.shape[0] == 0:

@@ -210,7 +210,6 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         )
         rows.append([
             method,
-            "native" if report.native_batch else "fallback",
             report.loop_qps,
             report.batch_qps,
             report.speedup,
@@ -221,7 +220,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
             )
             shard_lines.append(f"{method}: per-shard batch time [{timings}]")
     print(format_table(
-        ["method", "batch_path", "loop_qps", "batch_qps", "speedup"],
+        ["method", "loop_qps", "batch_qps", "speedup"],
         rows,
         title=(
             f"single vs batch throughput on {dataset.name} "

@@ -1,7 +1,7 @@
 """The paper's contribution: projections, conditions, Quick-Probe, ProMIPS —
 plus the shared batch query engine every index builds on."""
 
-from repro.core.batch import BatchStats, has_native_batch, search_batch, search_many
+from repro.core.batch import BatchStats, search_batch
 from repro.core.engine import (
     CandidateVerifier,
     TopK,
@@ -39,8 +39,6 @@ from repro.core.quickprobe import ProbeOutcome, QuickProbe
 __all__ = [
     "BatchStats",
     "search_batch",
-    "search_many",
-    "has_native_batch",
     "CandidateVerifier",
     "TopK",
     "batch_inner_products",

@@ -10,14 +10,21 @@ storage.
 The envelope records the registered method name and its round-trippable
 :class:`repro.spec.IndexSpec`; :func:`load_index` dispatches through the
 method registry to the class's ``from_state``, so every method (ProMIPS,
-Dynamic, H2-ALSH, Range-LSH, PQ-Based, Exact, SimHash) reloads with
-bit-identical search behaviour.  Format version 1 (the ProMIPS-only layout
-of earlier releases) still loads.
+Dynamic, H2-ALSH, Range-LSH, PQ-Based, Exact, SimHash, Sharded) reloads
+with bit-identical search behaviour.  Only format version 2 loads; a file in
+the ProMIPS-only version 1 layout of earlier releases is rejected with a
+``ValueError`` naming its version, and must be rebuilt.
+
+:func:`save_index` writes a temporary file next to the target, fsyncs it and
+renames it over the target, so a crash mid-write leaves the previous file
+intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +85,21 @@ def save_index(index, path: str | Path, extra_meta: dict | None = None) -> Path:
     bad = [k for k in state if not isinstance(state[k], np.ndarray)]
     if bad:
         raise TypeError(f"state() of {method!r} returned non-array entries: {bad}")
-    np.savez_compressed(
-        path,
-        __meta__=_encode_meta(meta),
-        **{f"{_STATE_PREFIX}{k}": v for k, v in state.items()},
-    )
+    # Same directory, so os.replace is an atomic rename on one filesystem.
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez_compressed(
+                fh,
+                __meta__=_encode_meta(meta),
+                **{f"{_STATE_PREFIX}{k}": v for k, v in state.items()},
+            )
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -145,6 +162,20 @@ def unpack_substate(state: dict[str, np.ndarray], prefix: str):
     return get_method(meta["method"]).from_state(spec, sub_state)
 
 
+def _read_meta(blob, path: Path) -> dict:
+    """The envelope of an open ``.npz``, or a ``ValueError`` saying why not."""
+    if "__meta__" in blob.files:
+        return _decode_meta(blob["__meta__"])
+    if "meta" in blob.files:
+        version = _decode_meta(blob["meta"]).get("format_version")
+        raise ValueError(
+            f"{path} uses the unsupported index format {version!r} (the "
+            f"ProMIPS-only layout of earlier releases); only format "
+            f"{_FORMAT_VERSION} loads, so rebuild the index and save it again"
+        )
+    raise ValueError(f"{path} is not a saved index (no envelope found)")
+
+
 def load_index(path: str | Path):
     """Reconstruct an index saved by :func:`save_index`.
 
@@ -153,24 +184,19 @@ def load_index(path: str | Path):
     """
     path = Path(path)
     with np.load(path) as blob:
-        if "__meta__" in blob.files:
-            meta = _decode_meta(blob["__meta__"])
-            if meta.get("format_version") != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index format {meta.get('format_version')!r} "
-                    f"(expected {_FORMAT_VERSION})"
-                )
-            spec = IndexSpec.from_dict(meta["spec"])
-            state = {
-                key[len(_STATE_PREFIX):]: np.asarray(blob[key])
-                for key in blob.files
-                if key.startswith(_STATE_PREFIX)
-            }
-            cls = get_method(meta["method"])
-            return cls.from_state(spec, state)
-        if "meta" in blob.files:
-            return _load_v1(blob)
-        raise ValueError(f"{path} is not a saved index (no envelope found)")
+        meta = _read_meta(blob, path)
+        if meta.get("format_version") != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported index format {meta.get('format_version')!r} "
+                f"(expected {_FORMAT_VERSION})"
+            )
+        spec = IndexSpec.from_dict(meta["spec"])
+        state = {
+            key[len(_STATE_PREFIX):]: np.asarray(blob[key])
+            for key in blob.files
+            if key.startswith(_STATE_PREFIX)
+        }
+        return get_method(meta["method"]).from_state(spec, state)
 
 
 def inspect_index(path: str | Path) -> dict:
@@ -181,33 +207,4 @@ def inspect_index(path: str | Path) -> dict:
     """
     path = Path(path)
     with np.load(path) as blob:
-        if "__meta__" in blob.files:
-            return _decode_meta(blob["__meta__"])
-        if "meta" in blob.files:
-            meta = _decode_meta(blob["meta"])
-            return {
-                "format_version": meta.get("format_version"),
-                "method": "promips",
-                "spec": {"method": "promips", "params": meta.get("params", {})},
-                "extras": {},
-            }
-    raise ValueError(f"{path} is not a saved index (no envelope found)")
-
-
-def _load_v1(blob) -> "object":
-    """Load the ProMIPS-only format version 1 of earlier releases."""
-    from repro.core.promips import ProMIPS
-
-    meta = _decode_meta(blob["meta"])
-    if meta.get("format_version") != 1:
-        raise ValueError(
-            f"unsupported index format {meta.get('format_version')!r} "
-            f"(expected {_FORMAT_VERSION} or the legacy 1)"
-        )
-    spec = IndexSpec("promips", meta["params"])
-    state = {
-        "data": np.asarray(blob["data"], dtype=np.float64),
-        "projection_matrix": np.asarray(blob["projection_matrix"], dtype=np.float64),
-        **{key: np.asarray(blob[key]) for key in blob.files if key.startswith("ring_")},
-    }
-    return ProMIPS.from_state(spec, state)
+        return _read_meta(blob, path)

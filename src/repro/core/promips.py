@@ -5,7 +5,8 @@ The public entry point is :class:`ProMIPS`:
 >>> index = ProMIPS.build(data, ProMIPSParams(c=0.9, p=0.5))
 >>> result = index.search(query, k=10)
 
-``search`` implements MIP-Search-II (Algorithm 3): Quick-Probe determines a
+``search_many`` implements MIP-Search-II (Algorithm 3), and ``search``
+answers one query as a one-row batch: Quick-Probe determines a
 range-search radius, one range search over the ring-pattern iDistance
 collects candidates, Condition A can terminate verification early, and a
 compensation pass extends the radius to ``r'`` when Condition B is not yet
@@ -13,11 +14,10 @@ met.  ``search_incremental`` implements MIP-Search-I (Algorithm 1), the
 incremental-NN variant that Quick-Probe was designed to replace; it is kept
 both as a reference implementation and for the ablation benchmark.
 
-``search_many`` is the native batch path: all queries are projected in one
-GEMM and the Quick-Probe group scans run vectorized over the whole batch;
-the adaptive per-query range-search/verification core is shared with
-``search`` through :mod:`repro.core.engine`, so batch answers are
-bit-identical to looping ``search``.
+All queries of a batch are projected in one GEMM and the Quick-Probe group
+scans run vectorized over the whole batch; the adaptive range-search and
+verification core runs per query through :mod:`repro.core.engine`, so a
+query's answer does not depend on the batch it arrives in.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.api import (
     BatchResult,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_k,
@@ -94,7 +95,7 @@ class ProMIPSParams:
 
 
 @register_method("promips", aliases=("ProMIPS",))
-class ProMIPS:
+class ProMIPS(SearchMixin):
     """Probability-guaranteed c-AMIP index with a lightweight iDistance.
 
     Use :meth:`build` (or ``repro.build_index`` with a ``"promips(...)"``
@@ -281,9 +282,10 @@ class ProMIPS:
     def _project_queries(self, queries: np.ndarray) -> np.ndarray:
         """Project a ``(n_q, d)`` batch with one shape-stable GEMM.
 
-        Both ``search`` and ``search_many`` project through this helper, so a
-        query's projection never depends on its batch size — the keystone of
-        the batch/single bit-identity guarantee.
+        ``search_many`` and ``search_incremental`` project through this
+        helper, and its fixed-shape GEMM panels make a query's projection
+        independent of its batch size — the keystone of the batch/single
+        bit-identity guarantee.
         """
         return project_batch(self.projection.matrix, queries)
 
@@ -372,32 +374,6 @@ class ProMIPS:
         )
         return SearchResult(ids=ids_out, scores=ips_out, stats=stats)
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int = 1,
-        c: float | None = None,
-        p: float | None = None,
-    ) -> SearchResult:
-        """c-k-AMIP search via MIP-Search-II (Quick-Probe + range search).
-
-        Args:
-            query: ``(d,)`` query vector.
-            k: number of results (c-k-AMIP).
-            c: per-query approximation-ratio override.
-            p: per-query guarantee-probability override.
-        """
-        c = self.params.c if c is None else c
-        p = self.params.p if p is None else p
-        k = validate_k(k)
-        query = validate_query(query, self.dim)
-        k = min(k, self.n)
-
-        q_proj = self._project_queries(query[None, :])[0]
-        q_l1 = float(np.abs(query).sum())
-        outcome = self.quickprobe.probe(q_proj, q_l1, c, p)
-        return self._search_core(query, q_proj, outcome, k, c, p)
-
     def search_many(
         self,
         queries: np.ndarray,
@@ -405,8 +381,8 @@ class ProMIPS:
         c: float | None = None,
         p: float | None = None,
     ) -> BatchResult:
-        """c-k-AMIP search for a whole query batch (bit-identical to looping
-        :meth:`search`).
+        """c-k-AMIP search via MIP-Search-II (Quick-Probe + range search) for
+        a whole query batch; row ``i`` is bit-identical to ``search(queries[i])``.
 
         The batch-wide work runs vectorized — one GEMM projects every query,
         and Quick-Probe scans the group summaries for the whole batch in one
@@ -450,7 +426,7 @@ class ProMIPS:
         Performs an incremental NN search in the projected space and tests
         Conditions A and B on every returned point.  Kept as the reference
         the paper improves on; the ablation benchmark compares it against
-        :meth:`search`.
+        MIP-Search-II (:meth:`search`).
         """
         c = self.params.c if c is None else c
         p = self.params.p if p is None else p

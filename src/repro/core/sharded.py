@@ -11,10 +11,10 @@ where exact MIPS serving wins.
 :class:`ShardedIndex` partitions the dataset across ``shards`` sub-indexes
 (contiguous ranges or a deterministic multiplicative hash of the point id),
 builds **any** spec-described method per shard through
-:func:`repro.spec.build_index`, and answers ``search``/``search_many`` by
-fanning the query set out over the shards — a thread pool for batches, since
-NumPy releases the GIL inside the BLAS kernels every shard leans on — and
-exact-merging the per-shard top-k lists.
+:func:`repro.spec.build_index`, and answers ``search_many`` by fanning the
+query batch out over the shards on a thread pool — NumPy releases the GIL
+inside the BLAS kernels every shard leans on — and exact-merging the
+per-shard top-k lists; ``search`` is the shared one-row batch.
 
 The merge is *bit-identical* to the unsharded index for exact inner methods:
 shard-local scores come out of the same fixed-shape GEMM panels the full
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.api import (
     BatchResult,
-    SearchResult,
+    SearchMixin,
     SearchStats,
     validate_k,
     validate_queries,
@@ -95,7 +95,7 @@ def _assign_members(n: int, n_shards: int, assignment: str) -> list[np.ndarray]:
 
 
 @register_method("sharded", aliases=("Sharded", "ShardedIndex"))
-class ShardedIndex:
+class ShardedIndex(SearchMixin):
     """Horizontal partitioning over any registered inner method.
 
     Use :meth:`build` (or ``repro.build_index`` with a spec like
@@ -171,7 +171,7 @@ class ShardedIndex:
             inner: spec of the per-shard method (any registered method).
             shards: partition count; clamped to ``n`` so no shard is empty.
             assignment: ``"contiguous"`` row ranges or ``"hash"`` of the id.
-            n_threads: default fan-out width for ``search_many``.
+            n_threads: fan-out width for ``search_many``.
             rng: generator or seed; each shard builds from an independently
                 spawned child stream, so builds are deterministic per seed
                 regardless of shard count.
@@ -284,60 +284,19 @@ class ShardedIndex:
             self._shard_members(s).nbytes for s in range(self.n_shards)
         )
 
-    # ------------------------------------------------------------------- merge
-
-    def _merge(self, shard_results: list[SearchResult], k: int) -> SearchResult:
-        """Exact cross-shard top-k: order by ``(-score, global_id)``.
-
-        Identical to the total order the unsharded engine applies, which is
-        what makes sharding invisible for exact inner methods.  No shard can
-        contribute more than its own top-k to the global top-k, so merging
-        the per-shard short-lists loses nothing.
-        """
-        gids = np.concatenate(
-            [self._shard_members(s)[r.ids] for s, r in enumerate(shard_results)]
-        )
-        scores = np.concatenate([r.scores for r in shard_results])
-        order = np.lexsort((gids, -scores))[:k]
-        per_shard_candidates = [r.stats.candidates for r in shard_results]
-        stats = SearchStats(
-            pages=sum(r.stats.pages for r in shard_results),
-            candidates=sum(per_shard_candidates),
-            extras={
-                "shards": self.n_shards,
-                "per_shard_candidates": per_shard_candidates,
-            },
-        )
-        return SearchResult(ids=gids[order], scores=scores[order], stats=stats)
-
     # ------------------------------------------------------------------ search
 
-    def search(self, query: np.ndarray, k: int = 1, **kwargs) -> SearchResult:
-        """Top-k over all shards (each shard clamps ``k`` to its own size)."""
-        k = validate_k(k)
-        query = validate_query(query, self.dim)
-        k = min(k, self.n_live)
-        results = [shard.search(query, k=k, **kwargs) for shard in self.shards]
-        return self._merge(results, k)
-
-    def search_many(
-        self,
-        queries: np.ndarray,
-        k: int = 1,
-        n_threads: int | None = None,
-        **kwargs,
-    ) -> BatchResult:
+    def search_many(self, queries: np.ndarray, k: int = 1, **kwargs) -> BatchResult:
         """Fan a batch out over the shards and merge per query.
 
-        Each shard answers the *whole* batch through its native
-        ``search_many`` path; shards run concurrently on a thread pool
+        Each shard answers the *whole* batch through its own
+        ``search_many``; shards run concurrently on a thread pool
         (BLAS releases the GIL, so per-shard GEMMs overlap on real cores).
         Per-shard wall-clock seconds land in :attr:`last_shard_seconds`.
 
         Args:
             queries: ``(n_q, d)`` batch (one ``(d,)`` query is promoted).
             k: results per query.
-            n_threads: fan-out width override for this call.
             **kwargs: forwarded to every shard (e.g. ProMIPS ``c=0.8``).
         """
         k = validate_k(k)
@@ -354,7 +313,7 @@ class ShardedIndex:
             timings[s] = time.perf_counter() - start
             return batch
 
-        width = n_threads if n_threads is not None else self.n_threads
+        width = self.n_threads
         if width is None:
             width = min(self.n_shards, os.cpu_count() or 1)
         # A pool wider than the shard count only oversubscribes (each shard
@@ -374,8 +333,11 @@ class ShardedIndex:
     ) -> BatchResult:
         """Vectorized cross-shard merge of whole batches.
 
-        The per-query order is the same ``(-score, global_id)`` of
-        :meth:`_merge`, but applied to all queries at once: each shard's
+        Each query's top-k is ordered by ``(-score, global_id)`` — the total
+        order the unsharded engine applies, which is what makes sharding
+        invisible for exact inner methods; no shard can contribute more than
+        its own top-k to the global top-k, so merging the per-shard
+        short-lists loses nothing.  All queries merge at once: each shard's
         ``(n_q, k')`` id block remaps to global ids in one gather, the blocks
         concatenate into ``(n_q, Σk')`` panels, and one axis-wise lexsort
         selects every row's top-k.  Keeping the merge out of a per-query

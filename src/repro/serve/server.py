@@ -65,6 +65,11 @@ from repro.spec import build_index
 
 log = logging.getLogger(__name__)
 
+# Largest request body a handler reads: 64 MiB holds a /search_batch of
+# tens of thousands of 64-d queries as JSON.  A longer Content-Length is
+# answered with 413 instead of being buffered.
+MAX_BODY_BYTES = 64 * 2**20
+
 __all__ = ["ServingRuntime", "build_runtime", "make_server"]
 
 
@@ -325,6 +330,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -340,6 +347,27 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"unknown path {self.path!r}", self.path)
 
+    def _read_body(self, endpoint: str) -> bytes | None:
+        """The request body, or ``None`` once a 400/413 has been answered.
+
+        Those answers close the connection: the body stays unread, so its
+        bytes would otherwise be parsed as the next request.
+        """
+        try:
+            length = int(self.headers.get("Content-Length"))
+        except (TypeError, ValueError):
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        self.close_connection = True
+        if length < 0:
+            self._error(400, "missing or invalid Content-Length", endpoint)
+        else:
+            self._error(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}", endpoint
+            )
+        return None
+
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         handler = {
             "/search": self._post_search,
@@ -347,13 +375,17 @@ class _Handler(BaseHTTPRequestHandler):
             "/insert": self._post_insert,
             "/delete": self._post_delete,
         }.get(self.path)
-        if handler is None:
-            self._error(404, f"unknown path {self.path!r}", self.path)
+        endpoint = self.path.lstrip("/") if handler is not None else self.path
+        # Read the body before routing: an unread body on a keep-alive
+        # connection would be parsed as the next request line.
+        raw = self._read_body(endpoint)
+        if raw is None:
             return
-        endpoint = self.path.lstrip("/")
+        if handler is None:
+            self._error(404, f"unknown path {self.path!r}", endpoint)
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(raw or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
             self._reply(200, handler(body))

@@ -13,6 +13,8 @@ integer bumps — no percentile math happens under the lock; :meth:`snapshot`
 copies the raw samples out first and aggregates outside.  Latencies live in
 a bounded ring (:data:`DEFAULT_WINDOW` most recent samples) so a long-lived
 server reports *recent* tail latency instead of averaging over its lifetime.
+There is one ring for all endpoints, so its percentiles mix ``search`` with
+``search_batch``, ``insert`` and ``delete`` latencies.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class Telemetry:
     """Counters, batch-occupancy histogram, and a latency ring buffer.
 
     Args:
-        window: number of most-recent latency samples retained per kind.
+        window: number of most-recent latency samples retained, in one ring
+            shared by every endpoint.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW) -> None:

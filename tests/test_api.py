@@ -8,6 +8,7 @@ import pytest
 from repro.api import (
     BatchResult,
     MIPSIndex,
+    SearchMixin,
     SearchResult,
     SearchStats,
     validate_queries,
@@ -15,6 +16,7 @@ from repro.api import (
 )
 from repro.baselines.exact import ExactMIPS
 from repro.core.promips import ProMIPS, ProMIPSParams
+from repro.spec import get_method, registered_methods
 
 
 class TestSearchResult:
@@ -105,3 +107,25 @@ class TestProtocol:
         promips = ProMIPS.build(data, ProMIPSParams(m=4, kp=2, n_key=6, ksp=2), rng=1)
         assert isinstance(exact, MIPSIndex)
         assert isinstance(promips, MIPSIndex)
+
+
+class TestOnePrimitive:
+    @pytest.mark.parametrize("name", registered_methods())
+    def test_method_implements_only_search_many(self, name):
+        """Every method writes ``search_many`` and inherits the shared
+        one-row ``search`` unchanged, so the two paths cannot drift apart."""
+        cls = get_method(name)
+        assert issubclass(cls, SearchMixin)
+        assert cls.search is SearchMixin.search
+        assert "search_many" in vars(cls)
+
+    def test_search_is_the_first_row_of_search_many(self):
+        gen = np.random.default_rng(2)
+        index = ExactMIPS(gen.standard_normal((50, 6)))
+        query = gen.standard_normal(6)
+        single = index.search(query, k=4)
+        row = index.search_many(query[None, :], k=4)[0]
+        assert np.array_equal(single.ids, row.ids)
+        assert np.array_equal(single.scores, row.scores)
+        with pytest.raises(ValueError, match="query has dimension 5"):
+            index.search(query[:5], k=4)

@@ -1,9 +1,11 @@
 """Batch/single parity: ``search_many(Q, k)`` must be *bit-identical* to
-looping ``search(q, k)`` for every index with a native batch path.
+looping ``search(q, k)`` for every index.
 
-This is the contract the engine's shape-stable GEMMs exist to uphold (see
-``repro.core.engine``): not approximately equal — ``np.array_equal`` on ids
-and scores, and matching per-query page/candidate accounting.
+``search`` is a one-row ``search_many``, so this pins down that a query's
+row does not depend on the batch around it — the contract the engine's
+shape-stable GEMMs exist to uphold (see ``repro.core.engine``): not
+approximately equal — ``np.array_equal`` on ids and scores, and matching
+per-query page/candidate accounting.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.baselines.h2alsh import H2ALSH
 from repro.baselines.pq import PQBasedMIPS
 from repro.baselines.rangelsh import RangeLSH
 from repro.baselines.simhash import SimHashMIPS
-from repro.core.batch import has_native_batch, search_batch, search_many
 from repro.core.dynamic import DynamicProMIPS
 from repro.core.promips import ProMIPS, ProMIPSParams
 
@@ -60,9 +61,7 @@ class TestNativeParity:
     @pytest.mark.parametrize("name", ["promips", "exact", "pq", "simhash"])
     def test_bit_identical_to_loop(self, native_indexes, workload, name):
         _, queries = workload
-        index = native_indexes[name]
-        assert has_native_batch(index)
-        assert_batch_matches_loop(index, queries, k=7)
+        assert_batch_matches_loop(native_indexes[name], queries, k=7)
 
     @pytest.mark.parametrize("name", ["promips", "exact", "pq", "simhash"])
     def test_single_row_batch(self, native_indexes, workload, name):
@@ -142,16 +141,17 @@ class TestNativeParity:
 
 
 class TestFallbackParity:
+    """H2-ALSH and Range-LSH, whose ``search_many`` loops over the rows, and
+    Dynamic across its mutable states."""
+
     def test_h2alsh_fallback(self, workload):
         data, queries = workload
         index = H2ALSH(data[:600], rng=3)
-        assert not has_native_batch(index)
         assert_batch_matches_loop(index, queries[:3], k=5)
 
     def test_rangelsh_fallback(self, workload):
         data, queries = workload
         index = RangeLSH(data, rng=3)
-        assert not has_native_batch(index)
         assert_batch_matches_loop(index, queries[:4], k=5)
 
     def test_dynamic_is_native_and_bit_identical(self, workload):
@@ -162,7 +162,6 @@ class TestFallbackParity:
         index = DynamicProMIPS(
             data[:500], ProMIPSParams(m=5, kp=3, n_key=10, ksp=4), rng=1
         )
-        assert has_native_batch(index)
         index.insert(data[900])
         assert_batch_matches_loop(index, queries[:3], k=5)
         index.delete(7)
@@ -171,15 +170,6 @@ class TestFallbackParity:
         for row in data[901:905]:
             index.insert(row)
         assert_batch_matches_loop(index, queries[:4], k=6)
-
-    def test_threaded_fanout_matches_sequential(self, workload):
-        data, queries = workload
-        index = RangeLSH(data, rng=3)
-        seq, _ = search_batch(index, queries, k=5)
-        par, _ = search_batch(index, queries, k=5, n_threads=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.ids, b.ids)
-            assert np.array_equal(a.scores, b.scores)
 
 
 class TestBatchResult:
@@ -216,10 +206,3 @@ class TestBatchResult:
             BatchResult(
                 ids=np.zeros((2, 3)), scores=np.zeros((2, 3)), stats=[SearchStats()]
             )
-
-    def test_search_many_helper_routes_native_and_fallback(self, workload):
-        data, queries = workload
-        exact = ExactMIPS(data)
-        lsh = RangeLSH(data, rng=3)
-        assert isinstance(search_many(exact, queries, k=3), BatchResult)
-        assert isinstance(search_many(lsh, queries[:2], k=3), BatchResult)

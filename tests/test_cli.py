@@ -85,7 +85,7 @@ class TestCommands:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "batch_qps" in out and "Exact" in out and "native" in out
+        assert "batch_qps" in out and "Exact" in out and "SimHash" in out
 
     def test_throughput_defaults(self):
         args = build_parser().parse_args(["throughput"])

@@ -210,29 +210,46 @@ class TestUniversalRoundtrip:
 
 
 class TestLegacyFormatV1:
-    def test_v1_promips_file_still_loads(self, latent_small, tmp_path):
-        from dataclasses import asdict
-
-        data, queries = latent_small
-        index = ProMIPS.build(
-            data[:400], ProMIPSParams(m=5, kp=3, n_key=10, ksp=4), rng=7
-        )
-        # Write the pre-registry, ProMIPS-only layout by hand.
-        meta = {"format_version": 1, "params": asdict(index.params)}
-        ring_state = {f"ring_{k}": v for k, v in index.ring.state().items()}
+    def test_v1_file_is_rejected(self, tmp_path):
+        # The pre-registry, ProMIPS-only layout: a bare "meta" blob.
+        meta = {"format_version": 1, "params": {}}
         path = tmp_path / "legacy.npz"
         np.savez_compressed(
             path,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            data=index._data,
-            projection_matrix=index.projection.matrix,
-            **ring_state,
+            data=np.zeros((4, 3)),
         )
+        for read in (load_index, inspect_index):
+            with pytest.raises(ValueError, match="unsupported index format 1"):
+                read(path)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_file(self, saved, monkeypatch):
+        _, queries, index, path = saved
+        before = path.read_bytes()
+
+        def torn_write(file, *args, **kwargs):
+            file.write(b"PK\x03\x04 torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(index, path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
         restored = load_index(path)
-        assert isinstance(restored, ProMIPS)
-        assert restored.params == index.params
         for q in queries[:4]:
             a, b = index.search(q, k=5), restored.search(q, k=5)
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.scores, b.scores)
-        assert inspect_index(path)["method"] == "promips"
+            assert a.stats.pages == b.stats.pages
+
+    def test_save_replaces_existing_file(self, latent_small, tmp_path):
+        data, queries = latent_small
+        path = save_index(build_index("exact()", data[:50]), tmp_path / "idx")
+        save_index(build_index("exact()", data[50:80]), path)
+        assert load_index(path).n == 30
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.npz"]

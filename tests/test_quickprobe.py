@@ -25,7 +25,7 @@ class TestProbe:
         data, projected, l1, groups, qp = probe_setup
         q = np.random.default_rng(1).standard_normal(20)
         matrix_q = projected[0] * 0  # placeholder — use a member projection
-        outcome = qp.probe(projected[3], float(np.abs(data[3]).sum()), c=0.9, p=0.5)
+        outcome = qp.probe_many([projected[3]], [float(np.abs(data[3]).sum())], c=0.9, p=0.5)[0]
         assert isinstance(outcome, ProbeOutcome)
         assert 0 <= outcome.point_id < len(data)
         assert outcome.groups_examined >= 1
@@ -36,7 +36,7 @@ class TestProbe:
             q_proj = np.random.default_rng(seed).standard_normal(5) * 5
             q_l1 = float(np.random.default_rng(seed + 100).uniform(1, 30))
             for p in (0.3, 0.7):
-                outcome = qp.probe(q_proj, q_l1, c=0.9, p=p)
+                outcome = qp.probe_many([q_proj], [q_l1], c=0.9, p=p)[0]
                 threshold = qp.chi2.ppf(p)
                 if outcome.passed:
                     assert outcome.test_value >= threshold - 1e-12
@@ -49,7 +49,7 @@ class TestProbe:
         data, projected, l1, groups, qp = probe_setup
         # A huge query 1-norm makes Test A's denominator enormous, so no
         # group can pass; the probe must fall back gracefully.
-        outcome = qp.probe(np.zeros(5), 1e9, c=0.9, p=0.9)
+        outcome = qp.probe_many([np.zeros(5)], [1e9], c=0.9, p=0.9)[0]
         assert not outcome.passed
         assert outcome.groups_examined == groups.n_groups
         assert 0 <= outcome.point_id < len(data)
@@ -61,7 +61,7 @@ class TestProbe:
         q_proj = np.random.default_rng(77).standard_normal(5) * 0.1
         q_l1 = 0.05  # small denominator → many groups pass
         c, p = 0.9, 0.3
-        outcome = qp.probe(q_proj, q_l1, c=c, p=p)
+        outcome = qp.probe_many([q_proj], [q_l1], c=c, p=p)[0]
         if outcome.passed:
             lbs = groups.lower_bounds(q_proj)
             threshold = qp.chi2.ppf(p)
@@ -77,11 +77,11 @@ class TestProbe:
     def test_rejects_bad_parameters(self, probe_setup):
         *_, qp = probe_setup
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), 1.0, c=1.0, p=0.5)
+            qp.probe_many([np.zeros(5)], [1.0], c=1.0, p=0.5)[0]
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), 1.0, c=0.9, p=0.0)
+            qp.probe_many([np.zeros(5)], [1.0], c=0.9, p=0.0)[0]
         with pytest.raises(ValueError):
-            qp.probe(np.zeros(5), -1.0, c=0.9, p=0.5)
+            qp.probe_many([np.zeros(5)], [-1.0], c=0.9, p=0.5)[0]
 
     def test_n_groups_property(self, probe_setup):
         *_, groups, qp = probe_setup[2:]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -23,6 +24,7 @@ import pytest
 
 from repro.core.persist import save_index
 from repro.serve import ServingRuntime, build_runtime, make_server
+from repro.serve.server import MAX_BODY_BYTES
 from repro.spec import build_index, registered_methods
 
 from test_k_clamp import EDGE_SPECS
@@ -474,6 +476,62 @@ class TestServerFaults:
         finally:
             conn.close()
         assert stats["errors_by_endpoint"] == {"search": 1}
+
+
+class TestRequestFraming:
+    """On a keep-alive connection every body byte is either read or the
+    connection is closed; nothing is left to be parsed as the next request."""
+
+    def test_unknown_path_keeps_the_connection_in_sync(self, serve):
+        index, _, queries = _build("exact")
+        client = serve(ServingRuntime(index))
+        port = int(client.base.rsplit(":", 1)[1])
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+        headers = {"Content-Type": "application/json"}
+        body = json.dumps({"query": queries[0].tolist(), "k": 3})
+        try:
+            conn.request("POST", "/nope", body, headers)
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert "unknown path" in json.loads(resp.read())["error"]
+            conn.request("POST", "/search", body, headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            ids = json.loads(resp.read())["ids"]
+        finally:
+            conn.close()
+        assert ids == index.search(queries[0], k=3).ids.tolist()
+
+    @pytest.mark.parametrize(
+        "length, code, message",
+        [
+            (None, 400, "Content-Length"),
+            ("-1", 400, "Content-Length"),
+            ("ten", 400, "Content-Length"),
+            (str(MAX_BODY_BYTES + 1), 413, "exceeds"),
+        ],
+    )
+    def test_bad_content_length_is_answered_and_closed(
+        self, serve, length, code, message
+    ):
+        index, _, _ = _build("exact")
+        client = serve(ServingRuntime(index))
+        port = int(client.base.rsplit(":", 1)[1])
+        head = ["POST /search HTTP/1.1", "Host: 127.0.0.1"]
+        if length is not None:
+            head.append(f"Content-Length: {length}")
+        # No body follows: a handler that tried to read one would block, and
+        # the 5 s socket timeout would fail the test instead of hanging it.
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(("\r\n".join(head) + "\r\n\r\n").encode())
+            chunks = []
+            while chunk := sock.recv(65536):  # until the server closes
+                chunks.append(chunk)
+        header, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+        assert header.split(b"\r\n")[0].split()[1] == str(code).encode()
+        assert b"Connection: close" in header
+        assert message in json.loads(payload)["error"]
+        assert client.get("/stats")[1]["errors_by_endpoint"] == {"search": 1}
 
 
 class TestIntegralFloatK:

@@ -162,21 +162,15 @@ class TestEdges:
 
     def test_thread_pool_fanout_matches_sequential(self, workload):
         data, queries = workload
-        sharded = ShardedIndex.build(data, inner="exact()", shards=4, rng=1)
-        pooled = sharded.search_many(queries, k=10, n_threads=4)
-        sequential = sharded.search_many(queries, k=10, n_threads=1)
-        assert np.array_equal(pooled.ids, sequential.ids)
-        assert np.array_equal(pooled.scores, sequential.scores)
-
-    def test_orchestrator_forwards_n_threads_to_native_path(self, workload):
-        from repro.core.batch import search_many
-
-        data, queries = workload
-        sharded = ShardedIndex.build(data, inner="exact()", shards=4, rng=1)
-        batch = search_many(sharded, queries, k=10, n_threads=2)
-        direct = sharded.search_many(queries, k=10)
-        assert np.array_equal(batch.ids, direct.ids)
-        assert np.array_equal(batch.scores, direct.scores)
+        spec = "sharded(inner='exact()', shards=4, n_threads={})"
+        pooled = build_index(spec.format(4), data, rng=1)
+        sequential = build_index(spec.format(1), data, rng=1)
+        assert (pooled.n_threads, sequential.n_threads) == (4, 1)
+        a = pooled.search_many(queries, k=10)
+        b = sequential.search_many(queries, k=10)
+        assert np.array_equal(a.ids, b.ids)
+        assert np.array_equal(a.scores, b.scores)
+        assert [s.pages for s in a.stats] == [s.pages for s in b.stats]
 
     def test_registered_and_spec_round_trip(self, workload):
         data, _ = workload
